@@ -20,9 +20,9 @@
 //! sends `Message::Data` frames — bit-for-bit the per-tuple data plane.
 
 use crate::error::{EngineError, Result};
+use crate::exec::Envelope;
 use crate::message::{Batch, FrameTrace, Message};
 use crate::physical::{OutRoute, RouteTargets, RouterState};
-use crate::runtime::Envelope;
 use crate::telemetry::Probe;
 use crate::value::Tuple;
 use crossbeam_channel::Sender;
@@ -233,7 +233,7 @@ impl EdgeBatcher {
         reason: FlushReason,
     ) -> Result<()> {
         self.flush_all(routes, downstream, probe, reason)?;
-        crate::runtime::broadcast(routes, downstream, msg)
+        crate::exec::broadcast(routes, downstream, msg)
     }
 }
 

@@ -25,8 +25,11 @@
 //!
 //! * **Heartbeat leases** — every worker heartbeats on its control
 //!   connection; the coordinator tracks a [`LeaseTable`] and declares a
-//!   worker dead when its lease lapses. A SIGKILLed process cannot renew,
-//!   so real process death is detected with no in-band signal.
+//!   worker dead when its lease lapses. Every control frame renews the
+//!   lease when it arrives, before it is decoded, so heartbeats queued
+//!   behind a large checkpoint part do not read as silence. A SIGKILLed
+//!   process cannot renew, so real process death is detected with no
+//!   in-band signal.
 //! * **Checkpoints over the wire** — Chandy–Lamport barriers flow through
 //!   the TCP mesh exactly as they flow through local channels; every
 //!   checkpoint part is streamed to the coordinator the moment it is taken,
@@ -56,20 +59,21 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    decode, encode, join_instances, spawn_instances, ExecSettings, Reporters, RunClock, SinkState,
+    assemble_result, decode, encode, join_instances, spawn_instances, Envelope, ExecSettings,
+    InstanceStats, Reporters, RunClock, SinkState,
 };
 use crate::fault::{DeliveryMode, FtConfig, FtRunResult, RecoveryStats};
 use crate::message::Message;
 use crate::operator::OpKind;
 use crate::physical::PhysicalPlan;
-use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult};
+use crate::runtime::RunConfig;
 use crate::testplan::{self, PlanAndSources};
 use crate::transport::Transport;
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pdsp_net::{
-    connect_with_backoff, encode_json, epoch_ns_now, recv_json, send_json, wire_now_ns,
-    write_frame, BackoffPolicy, LeaseTable,
+    connect_with_backoff, decode_json, encode_json, epoch_ns_now, read_frame, recv_json, send_json,
+    wire_now_ns, write_frame, BackoffPolicy, LeaseTable,
 };
 use pdsp_telemetry::{
     Alarm, AlarmConfig, AlarmKind, AlarmMonitor, FlightEventKind, InstanceSnapshot,
@@ -77,7 +81,7 @@ use pdsp_telemetry::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -219,17 +223,6 @@ struct DeploySpec {
     trace_every: u64,
 }
 
-/// Per-instance final counters. A struct (not a tuple) because the wire
-/// codec caps tuples at arity 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct WireStat {
-    node: usize,
-    tuples_in: u64,
-    tuples_out: u64,
-    shed: u64,
-    late: u64,
-}
-
 /// One data-plane frame: an [`Envelope`] plus its target instance. The
 /// receiving worker routes purely on `instance`, so data connections need
 /// no handshake.
@@ -268,7 +261,7 @@ enum ToCoord {
     /// All local instances finished cleanly.
     Done {
         worker: usize,
-        stats: Vec<WireStat>,
+        stats: Vec<InstanceStats>,
         sinks: Vec<(usize, SinkState)>,
         emitted: Vec<(usize, u64)>,
         /// Spans recorded on this worker (empty when tracing is off),
@@ -779,7 +772,7 @@ impl WorkerMain {
 
         let (coord_tx, coord_rx) = unbounded::<(u64, usize, Vec<u8>)>();
         let (sink_tx, sink_rx) = unbounded::<(usize, SinkState)>();
-        let (stats_tx, stats_rx) = unbounded::<(usize, u64, u64, u64, u64)>();
+        let (stats_tx, stats_rx) = unbounded::<InstanceStats>();
         let reporters = Reporters {
             coord_tx,
             sink_tx,
@@ -942,16 +935,7 @@ impl WorkerMain {
                     let _ = send_json(&mut *writer.lock(), &failed);
                     return Err(e);
                 }
-                let stats: Vec<WireStat> = stats_rx
-                    .iter()
-                    .map(|(node, tuples_in, tuples_out, shed, late)| WireStat {
-                        node,
-                        tuples_in,
-                        tuples_out,
-                        shed,
-                        late,
-                    })
-                    .collect();
+                let stats: Vec<InstanceStats> = stats_rx.iter().collect();
                 let sinks: Vec<(usize, SinkState)> = sink_rx.iter().collect();
                 // Every span writer (instance threads, acceptor readers) has
                 // joined above, so the drain observes all recorded spans.
@@ -1001,6 +985,10 @@ enum Event {
         msg: ToCoord,
         writer: Option<TcpStream>,
     },
+    /// A frame from `worker` arrived, sent before the frame is decoded.
+    /// Liveness counts arrivals: a checkpoint part takes tens of ms to
+    /// decode, and heartbeats queued behind it must not read as silence.
+    Arrived { gen: usize, worker: usize },
     /// A control connection closed or errored.
     Lost { gen: usize, worker: Option<usize> },
 }
@@ -1011,7 +999,7 @@ struct DistAttempt {
     new_parts: Vec<(u64, usize, Vec<u8>)>,
     /// Final (on success) or failure-time partial sink states.
     sink_states: HashMap<usize, SinkState>,
-    op_stats: Vec<WireStat>,
+    op_stats: Vec<InstanceStats>,
     /// Best-known source offsets (heartbeats, then Done).
     emitted: HashMap<usize, u64>,
     /// Heartbeat-reported sink deliveries this attempt, by worker.
@@ -1087,13 +1075,11 @@ impl DistributedRuntime {
 
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("bind control listener", e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| io_err("control listener addr", e))?
-            .to_string();
         let generation = Arc::new(AtomicUsize::new(0));
         let (ev_tx, ev_rx) = unbounded::<Event>();
-        spawn_control_acceptor(listener, Arc::clone(&generation), ev_tx);
+        // Dropped on every way out of `run`, which closes the listener.
+        let acceptor = spawn_control_acceptor(listener, Arc::clone(&generation), ev_tx)?;
+        let addr = acceptor.addr.to_string();
 
         let tel = RunTelemetry::new(MetricsRegistry::new(spec), TelemetryConfig::default());
         tel.recorder.record(
@@ -1191,12 +1177,12 @@ impl DistributedRuntime {
             match att.outcome {
                 Ok(()) => {
                     stats.late_tuples = att.op_stats.iter().map(|s| s.late).sum();
-                    let result = assemble(
+                    let result = assemble_result(
                         &plan,
-                        &self.config.ft.run,
+                        self.config.ft.run.capture_limit,
                         att.sink_states,
                         &att.op_stats,
-                        &emitted_totals,
+                        |i| emitted_totals.get(&i).copied().unwrap_or(0),
                         start,
                     );
                     tel.recorder.record(
@@ -1548,13 +1534,14 @@ impl DistributedRuntime {
             // Failure detector: a lease that lapsed belongs to a worker that
             // could not heartbeat — SIGKILL, livelock, or severed control
             // connection alike.
-            if let Some((w, gap)) = leases
-                .expired()
-                .into_iter()
-                .filter(|(w, _)| !done.contains(&(*w as usize)))
-                .max_by_key(|&(_, gap)| gap)
-            {
-                let w = w as usize;
+            if let Some((w, gap, alarm)) = lease_verdict(
+                leases.expired(),
+                &done,
+                &mut alarmed,
+                heartbeat_ms,
+                monitor.config().heartbeat_gap_intervals,
+            ) {
+                alarms_observed.extend(alarm);
                 let detail = format!(
                     "heartbeat silent for {} ms (lease timeout {} ms)",
                     gap.as_millis(),
@@ -1599,8 +1586,6 @@ impl DistributedRuntime {
                         sinks,
                         snapshots,
                     } => {
-                        leases.renew(worker as u64);
-                        monitor.note_heartbeat(worker, interval);
                         for (inst, v) in emitted {
                             let e = att.emitted.entry(inst).or_insert(0);
                             *e = (*e).max(v);
@@ -1695,9 +1680,13 @@ impl DistributedRuntime {
                     }
                     ToCoord::Hello { .. } | ToCoord::Ready { .. } => {}
                 },
+                Ok(Event::Arrived { gen: g, worker }) if g == gen => {
+                    leases.renew(worker as u64);
+                    monitor.note_heartbeat(worker, interval);
+                }
                 // A lost control connection alone is only a suspicion (the
                 // worker may still be draining); the lease makes the call.
-                Ok(Event::Lost { .. }) | Ok(Event::Msg { .. }) => {}
+                Ok(Event::Lost { .. } | Event::Msg { .. } | Event::Arrived { .. }) => {}
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     fail(
@@ -1737,19 +1726,77 @@ impl DistributedRuntime {
     }
 }
 
-/// One thread accepting control connections forever; each connection gets a
-/// reader thread that tags messages with the generation current at accept
-/// time, so a late frame from a killed fleet cannot corrupt the next
-/// attempt.
+/// The failure detector's verdict at one supervision tick: the unfinished
+/// worker silent longest past its lease, if any. A lapsed lease implies the
+/// heartbeat-gap warning: one delayed tick can carry a worker past both the
+/// alarm threshold and the lease timeout, so when `alarmed` holds no alarm
+/// for that worker yet, the verdict raises it (value and threshold in
+/// heartbeat intervals, as [`AlarmMonitor::evaluate_heartbeats`] reports).
+fn lease_verdict(
+    expired: Vec<(u64, Duration)>,
+    done: &HashSet<usize>,
+    alarmed: &mut HashSet<usize>,
+    heartbeat_ms: u64,
+    gap_threshold: u64,
+) -> Option<(usize, Duration, Option<Alarm>)> {
+    let (w, gap) = expired
+        .into_iter()
+        .filter(|(w, _)| !done.contains(&(*w as usize)))
+        .max_by_key(|&(_, gap)| gap)?;
+    let w = w as usize;
+    let alarm = alarmed.insert(w).then(|| Alarm {
+        kind: AlarmKind::HeartbeatGap,
+        operator: "worker".into(),
+        instance: w,
+        value: (gap.as_millis() as u64 / heartbeat_ms.max(1)) as f64,
+        threshold: gap_threshold as f64,
+    });
+    Some((w, gap, alarm))
+}
+
+/// The coordinator's control acceptor. Dropping it stops the accept thread
+/// and closes the listener the thread owns.
+struct ControlAcceptor {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for ControlAcceptor {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the blocked `accept` with a connection of our own. If even
+        // that dial fails, `accept` is failing too and the thread is on its
+        // way out; joining could only hang.
+        if TcpStream::connect(self.addr).is_ok() {
+            if let Some(t) = self.thread.take() {
+                let _ = t.join();
+            }
+        }
+    }
+}
+
+/// One thread accepting control connections until the returned guard
+/// drops; each connection gets a reader thread that tags messages with the
+/// generation current at accept time, so a late frame from a killed fleet
+/// cannot corrupt the next attempt.
 fn spawn_control_acceptor(
     listener: TcpListener,
     generation: Arc<AtomicUsize>,
     ev_tx: Sender<Event>,
-) {
-    std::thread::spawn(move || loop {
+) -> Result<ControlAcceptor> {
+    let addr = listener
+        .local_addr()
+        .map_err(|e| io_err("control listener addr", e))?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let halt = Arc::clone(&stop);
+    let thread = std::thread::spawn(move || loop {
         let Ok((stream, _)) = listener.accept() else {
             return;
         };
+        if halt.load(Ordering::SeqCst) {
+            return;
+        }
         stream.set_nodelay(true).ok();
         let gen = generation.load(Ordering::SeqCst);
         let ev_tx = ev_tx.clone();
@@ -1758,8 +1805,20 @@ fn spawn_control_acceptor(
             let mut reader = stream;
             let mut worker = None;
             loop {
-                match recv_json::<_, ToCoord>(&mut reader) {
-                    Ok(Some(msg)) => {
+                let frame = match read_frame(&mut reader) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) | Err(_) => {
+                        let _ = ev_tx.send(Event::Lost { gen, worker });
+                        return;
+                    }
+                };
+                if let Some(w) = worker {
+                    if ev_tx.send(Event::Arrived { gen, worker: w }).is_err() {
+                        return;
+                    }
+                }
+                match decode_json::<ToCoord>(&frame) {
+                    Ok(msg) => {
                         if let ToCoord::Hello { worker: w, .. } = &msg {
                             worker = Some(*w);
                         }
@@ -1774,7 +1833,7 @@ fn spawn_control_acceptor(
                             return;
                         }
                     }
-                    Ok(None) | Err(_) => {
+                    Err(_) => {
                         let _ = ev_tx.send(Event::Lost { gen, worker });
                         return;
                     }
@@ -1782,60 +1841,11 @@ fn spawn_control_acceptor(
             }
         });
     });
-}
-
-/// Fold per-worker reports into the engine's [`RunResult`] shape, mirroring
-/// the in-process fault-tolerant assembly.
-fn assemble(
-    plan: &PhysicalPlan,
-    run: &RunConfig,
-    sink_states: HashMap<usize, SinkState>,
-    op_stats: &[WireStat],
-    emitted: &HashMap<usize, u64>,
-    start: Instant,
-) -> RunResult {
-    let mut result = RunResult {
-        sink_tuples: Vec::new(),
-        latencies_ns: Vec::new(),
-        tuples_out: 0,
-        tuples_in: 0,
-        elapsed: Duration::ZERO,
-        operator_stats: plan
-            .logical
-            .nodes
-            .iter()
-            .map(|node| OperatorStats {
-                node: node.id,
-                name: node.name.clone(),
-                tuples_in: 0,
-                tuples_out: 0,
-                shed: 0,
-                late: 0,
-            })
-            .collect(),
-    };
-    let mut ordered: Vec<(usize, SinkState)> = sink_states.into_iter().collect();
-    ordered.sort_unstable_by_key(|&(i, _)| i);
-    for (_, st) in ordered {
-        let room = run.capture_limit - result.sink_tuples.len().min(run.capture_limit);
-        result
-            .sink_tuples
-            .extend(st.captured.into_iter().take(room));
-        result.latencies_ns.extend(st.latencies);
-        result.tuples_out += st.total;
-    }
-    for &src in &plan.source_instances() {
-        result.tuples_in += emitted.get(&src).copied().unwrap_or(0);
-    }
-    for s in op_stats {
-        let slot = &mut result.operator_stats[s.node];
-        slot.tuples_in += s.tuples_in;
-        slot.tuples_out += s.tuples_out;
-        slot.shed += s.shed;
-        slot.late += s.late;
-    }
-    result.elapsed = start.elapsed();
-    result
+    Ok(ControlAcceptor {
+        addr,
+        stop,
+        thread: Some(thread),
+    })
 }
 
 #[cfg(test)]
@@ -1921,6 +1931,99 @@ mod tests {
             }
             other => panic!("expected heartbeat, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_lapsed_lease_always_carries_a_heartbeat_gap_alarm() {
+        let hb = 20;
+        let lapsed = || {
+            vec![
+                (0, Duration::from_millis(900)),
+                (1, Duration::from_millis(600)),
+            ]
+        };
+        // Worker 0 finished; its stale lease entry must not be blamed.
+        let done: HashSet<usize> = [0].into_iter().collect();
+        let mut alarmed = HashSet::new();
+        let (w, gap, alarm) = lease_verdict(lapsed(), &done, &mut alarmed, hb, 12).unwrap();
+        assert_eq!((w, gap), (1, Duration::from_millis(600)));
+        let alarm = alarm.expect("no gap alarm had fired, so the verdict raises one");
+        assert_eq!(alarm.kind, AlarmKind::HeartbeatGap);
+        assert_eq!(alarm.instance, 1);
+        assert_eq!(alarm.value, 30.0, "600 ms of silence at a 20 ms heartbeat");
+        assert_eq!(alarm.threshold, 12.0);
+        assert!(alarmed.contains(&1));
+        // An alarm that already fired is not raised twice.
+        let (_, _, again) = lease_verdict(lapsed(), &done, &mut alarmed, hb, 12).unwrap();
+        assert!(again.is_none());
+        // No unfinished worker lapsed: no verdict, no alarm.
+        let all_done: HashSet<usize> = [0, 1].into_iter().collect();
+        assert!(lease_verdict(lapsed(), &all_done, &mut HashSet::new(), hb, 12).is_none());
+        assert!(lease_verdict(Vec::new(), &done, &mut HashSet::new(), hb, 12).is_none());
+    }
+
+    #[test]
+    fn dropping_the_control_acceptor_closes_its_listener_and_thread() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (ev_tx, ev_rx) = unbounded::<Event>();
+        let acceptor =
+            spawn_control_acceptor(listener, Arc::new(AtomicUsize::new(0)), ev_tx).unwrap();
+        let addr = acceptor.addr;
+        // Live: a dial is accepted, and its reader reports the hang-up.
+        drop(TcpStream::connect(addr).unwrap());
+        assert!(matches!(
+            ev_rx.recv_timeout(Duration::from_secs(5)),
+            Ok(Event::Lost { worker: None, .. })
+        ));
+        drop(acceptor);
+        let refused = TcpStream::connect(addr).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+        // The accept thread held the last event sender: once it exited the
+        // channel disconnects.
+        assert!(matches!(
+            ev_rx.recv_timeout(Duration::from_secs(5)),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+    }
+
+    #[test]
+    fn control_reader_reports_each_frame_on_arrival_before_decoding_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (ev_tx, ev_rx) = unbounded::<Event>();
+        let acceptor =
+            spawn_control_acceptor(listener, Arc::new(AtomicUsize::new(3)), ev_tx).unwrap();
+        let mut worker = TcpStream::connect(acceptor.addr).unwrap();
+        let hello = ToCoord::Hello {
+            worker: 1,
+            data_addr: "127.0.0.1:9".into(),
+        };
+        let beat = ToCoord::Heartbeat {
+            worker: 1,
+            emitted: Vec::new(),
+            sinks: Vec::new(),
+            snapshots: Vec::new(),
+        };
+        send_json(&mut worker, &hello).unwrap();
+        send_json(&mut worker, &beat).unwrap();
+        let next = || ev_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        // The Hello names the worker; arrivals are reported from then on,
+        // each ahead of the message it carries.
+        assert!(matches!(
+            next(),
+            Event::Msg {
+                gen: 3,
+                msg: ToCoord::Hello { worker: 1, .. },
+                writer: Some(_),
+            }
+        ));
+        assert!(matches!(next(), Event::Arrived { gen: 3, worker: 1 }));
+        assert!(matches!(
+            next(),
+            Event::Msg {
+                msg: ToCoord::Heartbeat { worker: 1, .. },
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -1,35 +1,40 @@
-//! Shared per-attempt execution loops.
+//! The one execution loop of every backend.
 //!
 //! One "attempt" spawns a thread per physical instance and runs it to
 //! completion (or failure). The loops here carry the full protocol stack —
 //! micro-batching, watermarks, aligned Chandy–Lamport barriers, the
-//! overload-escalation ladder — and are used by two drivers:
+//! overload-escalation ladder — and are used by three drivers:
 //!
-//! * [`crate::fault::FtRuntime`] runs every instance in-process over a
-//!   [`crate::transport::LocalTransport`];
+//! * [`crate::runtime::ThreadedRuntime`] runs one unsupervised attempt
+//!   ([`run_local_attempt`]) over a [`LocalTransport`] with checkpointing
+//!   off (`ckpt_interval == 0`: sources inject no barriers), and returns
+//!   the attempt's root error as is;
+//! * [`crate::fault::FtRuntime`] runs the same local attempt with barriers
+//!   on, inside a restart loop that restores the last complete checkpoint;
 //! * the distributed worker (see [`crate::distributed`]) runs only the
 //!   instances placed on it, over a mesh transport whose remote endpoints
 //!   serialize frames onto TCP connections.
 //!
+//! The backends therefore differ only in transport, clock and supervision.
 //! The loops are transport-agnostic: downstream edges are plain
 //! `Sender<Envelope>` handed out by a [`Transport`], and everything an
 //! attempt reports — checkpoint parts, sink states, per-instance counters —
 //! flows through in-process reporter channels that the driver either drains
-//! locally or forwards over the wire.
+//! locally or forwards over the wire. [`assemble_result`] folds a successful
+//! attempt's reports into the [`RunResult`] every driver returns.
 
 use crate::batch::{EdgeBatcher, FlushReason};
 use crate::error::{EngineError, Result};
 use crate::fault::FaultInjector;
 use crate::message::{Message, WatermarkTracker};
 use crate::operator::{OpKind, OperatorInstance};
-use crate::physical::{PhysicalPlan, RouterState};
+use crate::physical::{OutRoute, PhysicalPlan, RouterState};
 use crate::pressure::{PressureGauge, PressureLevel, Shedder};
-use crate::runtime::SourceFactory;
-use crate::runtime::{panic_cause, pick_root_error, take_receiver, Envelope, RunConfig};
+use crate::runtime::{OperatorStats, RunConfig, RunResult, SourceFactory};
 use crate::telemetry::Probe;
-use crate::transport::Transport;
+use crate::transport::{LocalTransport, Transport};
 use crate::value::Tuple;
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -37,6 +42,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+/// A frame on an instance's input queue: the input-channel slot it arrived
+/// on (for watermark and barrier bookkeeping) plus the message.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct Envelope {
+    pub(crate) channel: usize,
+    pub(crate) msg: Message,
+}
 
 /// Time base for `emit_ns` / latency stamps.
 ///
@@ -75,6 +88,19 @@ pub(crate) struct SinkState {
     pub(crate) captured: Vec<Tuple>,
     pub(crate) latencies: Vec<u64>,
     pub(crate) total: u64,
+}
+
+/// Final counters of one finished instance. Serializable so a distributed
+/// worker can ship them in its `Done` report; a struct (not a tuple)
+/// because the wire codec caps tuples at arity 4.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub(crate) struct InstanceStats {
+    /// Logical node the instance belongs to.
+    pub(crate) node: usize,
+    pub(crate) tuples_in: u64,
+    pub(crate) tuples_out: u64,
+    pub(crate) shed: u64,
+    pub(crate) late: u64,
 }
 
 /// Serialize a snapshot payload (checkpoint part, source offset, …).
@@ -198,22 +224,22 @@ pub(crate) struct ExecSettings {
     /// Block already-delivered barrier channels until the checkpoint
     /// completes (exactly-once semantics).
     pub(crate) exactly_once: bool,
-    /// Source barrier cadence in tuples.
+    /// Source barrier cadence in tuples; `0` injects no barriers.
     pub(crate) ckpt_interval: u64,
 }
 
-/// Reporter channels one attempt writes into. Always in-process: the
-/// fault-tolerant runtime drains them after the join; the distributed
-/// worker forwards them to the coordinator as they arrive (so checkpoint
-/// parts survive a later SIGKILL of the worker).
+/// Reporter channels one attempt writes into. Always in-process: the local
+/// driver drains them after the join; the distributed worker forwards them
+/// to the coordinator as they arrive (so checkpoint parts survive a later
+/// SIGKILL of the worker).
 #[derive(Clone)]
 pub(crate) struct Reporters {
     /// `(checkpoint id, instance id, state bytes)` parts.
     pub(crate) coord_tx: Sender<(u64, usize, Vec<u8>)>,
     /// Final (on success) or partial (on failure) sink states by instance.
     pub(crate) sink_tx: Sender<(usize, SinkState)>,
-    /// `(logical node, in, out, shed, late)` per finished instance.
-    pub(crate) stats_tx: Sender<(usize, u64, u64, u64, u64)>,
+    /// Counters of every finished instance.
+    pub(crate) stats_tx: Sender<InstanceStats>,
 }
 
 /// One spawned instance: `(instance id, logical node, worker thread)`.
@@ -243,6 +269,13 @@ pub(crate) fn spawn_instances(
     restarted: bool,
 ) -> Result<Vec<InstanceHandle>> {
     let source_nodes = plan.logical.sources();
+    if sources.len() != source_nodes.len() {
+        return Err(EngineError::Execution(format!(
+            "plan has {} source nodes but {} source factories were supplied",
+            source_nodes.len(),
+            sources.len()
+        )));
+    }
     let exactly_once = settings.exactly_once;
     let ckpt_interval = settings.ckpt_interval;
     let batch_size = settings.run.batch_size;
@@ -258,7 +291,6 @@ pub(crate) fn spawn_instances(
         let node = &plan.logical.nodes[inst.node];
         let routes = plan.out_routes[inst.id].clone();
         let downstream = transport.downstream_for(&routes)?;
-        let route_meta = routes;
         let injector = injector.clone();
         let inst_id = inst.id;
         let lnode = inst.node;
@@ -294,8 +326,7 @@ pub(crate) fn spawn_instances(
                     .transpose()?
                     .unwrap_or(0);
                 let worker = std::thread::spawn(move || -> Result<()> {
-                    let mut router = RouterState::new(route_meta.len());
-                    let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
+                    let mut outs = Outputs::new(routes, downstream, batch_size);
                     let mut max_et = i64::MIN;
                     let mut emitted = start_offset;
                     counter[inst_id].store(emitted, Ordering::SeqCst);
@@ -315,11 +346,12 @@ pub(crate) fn spawn_instances(
                         counter[inst_id].store(emitted, Ordering::SeqCst);
                         if traced {
                             let ctx = probe.trace_source(tuple.emit_ns);
-                            batcher.set_active_trace(ctx.map(|c| (c, tuple.emit_ns)));
+                            outs.batcher
+                                .set_active_trace(ctx.map(|c| (c, tuple.emit_ns)));
                         }
-                        batcher.scatter(&route_meta, &downstream, &mut router, &probe, tuple)?;
+                        outs.scatter(&probe, tuple)?;
                         if traced {
-                            batcher.set_active_trace(None);
+                            outs.batcher.set_active_trace(None);
                         }
                         probe.tuples_out(1);
                         if ckpt_interval > 0 && emitted.is_multiple_of(ckpt_interval) {
@@ -330,9 +362,7 @@ pub(crate) fn spawn_instances(
                             // Flushing before the barrier pins the barrier to
                             // a batch boundary: every tuple up to `emitted`
                             // precedes it on channel.
-                            batcher.flush_then_broadcast(
-                                &route_meta,
-                                &downstream,
+                            outs.flush_then_broadcast(
                                 &probe,
                                 Message::Barrier(id),
                                 FlushReason::Marker,
@@ -347,23 +377,20 @@ pub(crate) fn spawn_instances(
                         }
                         if emitted.is_multiple_of(wm_interval) {
                             let wm = max_et.saturating_sub(lateness);
-                            batcher.flush_then_broadcast(
-                                &route_meta,
-                                &downstream,
+                            outs.flush_then_broadcast(
                                 &probe,
                                 Message::Watermark(wm),
                                 FlushReason::Marker,
                             )?;
                         }
                     }
-                    batcher.flush_then_broadcast(
-                        &route_meta,
-                        &downstream,
-                        &probe,
-                        Message::Eos,
-                        FlushReason::Eos,
-                    )?;
-                    let _ = stats_tx.send((lnode, emitted, emitted, 0, 0));
+                    outs.flush_then_broadcast(&probe, Message::Eos, FlushReason::Eos)?;
+                    let _ = stats_tx.send(InstanceStats {
+                        node: lnode,
+                        tuples_in: emitted,
+                        tuples_out: emitted,
+                        ..InstanceStats::default()
+                    });
                     Ok(())
                 });
                 handles.push((lnode, index, worker));
@@ -493,7 +520,11 @@ pub(crate) fn spawn_instances(
                         }
                         probe.mark_busy(work);
                     }
-                    let _ = stats_tx.send((lnode, st.total, 0, 0, 0));
+                    let _ = stats_tx.send(InstanceStats {
+                        node: lnode,
+                        tuples_in: st.total,
+                        ..InstanceStats::default()
+                    });
                     let _ = sink_tx.send((inst_id, st));
                     Ok(())
                 });
@@ -520,8 +551,7 @@ pub(crate) fn spawn_instances(
                 let mut shedder =
                     Shedder::new(overload.shed_policy.clone(), overload.seed, inst.id as u64);
                 let worker = std::thread::spawn(move || -> Result<()> {
-                    let mut router = RouterState::new(route_meta.len());
-                    let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
+                    let mut outs = Outputs::new(routes, downstream, batch_size);
                     let mut tracker = WatermarkTracker::new(channels);
                     let mut aligner = BarrierAligner::new(channels);
                     let mut blocked = vec![false; channels];
@@ -561,12 +591,7 @@ pub(crate) fn spawn_instances(
                                 // Nothing arrived within the linger window:
                                 // push partial batches downstream so quiet
                                 // streams keep bounded latency.
-                                batcher.flush_all(
-                                    &route_meta,
-                                    &downstream,
-                                    &probe,
-                                    FlushReason::Linger,
-                                )?;
+                                outs.flush_all(&probe, FlushReason::Linger)?;
                                 continue;
                             }
                             Polled::Buffered => continue,
@@ -585,18 +610,14 @@ pub(crate) fn spawn_instances(
                             probe.pressure(level as u64);
                             match level {
                                 PressureLevel::Normal => {
-                                    batcher.set_max(batch_size);
+                                    outs.batcher.set_max(batch_size);
                                     linger = flush_after;
                                     shed_fraction = 0.0;
                                 }
-                                PressureLevel::Batch => {
-                                    batcher.set_max(batch_size * overload.batch_growth);
+                                PressureLevel::Batch | PressureLevel::Shed => {
+                                    outs.batcher.set_max(batch_size * overload.batch_growth);
                                     linger = (flush_after / 2).max(Duration::from_millis(1));
-                                    shed_fraction = 0.0;
-                                }
-                                PressureLevel::Shed => {
-                                    batcher.set_max(batch_size * overload.batch_growth);
-                                    linger = (flush_after / 2).max(Duration::from_millis(1));
+                                    // 0 below the shed rung.
                                     shed_fraction = g.shed_fraction(depth);
                                 }
                             }
@@ -621,13 +642,7 @@ pub(crate) fn spawn_instances(
                                 n_out += out.len() as u64;
                                 probe.tuples_out(out.len() as u64);
                                 for t in out.drain(..) {
-                                    batcher.scatter(
-                                        &route_meta,
-                                        &downstream,
-                                        &mut router,
-                                        &probe,
-                                        t,
-                                    )?;
+                                    outs.scatter(&probe, t)?;
                                 }
                             }
                             Message::Batch(b) => {
@@ -696,17 +711,7 @@ pub(crate) fn spawn_instances(
                                     probe.trace_active(Some(c));
                                     window_ctx = Some(c);
                                 }
-                                batcher.set_active_trace(out_ctx);
-                                for t in out.drain(..) {
-                                    batcher.scatter(
-                                        &route_meta,
-                                        &downstream,
-                                        &mut router,
-                                        &probe,
-                                        t,
-                                    )?;
-                                }
-                                batcher.set_active_trace(None);
+                                outs.scatter_traced(&probe, &mut out, out_ctx)?;
                             }
                             Message::Watermark(wm) => {
                                 if let Some(w) = tracker.observe(env.channel, wm) {
@@ -720,28 +725,9 @@ pub(crate) fn spawn_instances(
                                             format!("watermark {w}: {} results", out.len()),
                                         );
                                     }
-                                    // Pane results continue the last traced
-                                    // frame's context (window residency shows
-                                    // as a gap on the critical path).
-                                    let wctx = if out.is_empty() {
-                                        None
-                                    } else {
-                                        window_ctx.take()
-                                    };
-                                    batcher.set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                                    for t in out.drain(..) {
-                                        batcher.scatter(
-                                            &route_meta,
-                                            &downstream,
-                                            &mut router,
-                                            &probe,
-                                            t,
-                                        )?;
-                                    }
-                                    batcher.set_active_trace(None);
-                                    batcher.flush_then_broadcast(
-                                        &route_meta,
-                                        &downstream,
+                                    let wctx = pane_trace(&out, &mut window_ctx, &probe);
+                                    outs.scatter_traced(&probe, &mut out, wctx)?;
+                                    outs.flush_then_broadcast(
                                         &probe,
                                         Message::Watermark(w),
                                         FlushReason::Marker,
@@ -755,9 +741,7 @@ pub(crate) fn spawn_instances(
                                     // a batch boundary: all pre-checkpoint
                                     // tuples reach every downstream channel
                                     // before the barrier does.
-                                    batcher.flush_then_broadcast(
-                                        &route_meta,
-                                        &downstream,
+                                    outs.flush_then_broadcast(
                                         &probe,
                                         Message::Barrier(id),
                                         FlushReason::Marker,
@@ -772,9 +756,7 @@ pub(crate) fn spawn_instances(
                                 blocked[env.channel] = false;
                                 for id in aligner.close(env.channel) {
                                     checkpoint(&*op, id, &probe)?;
-                                    batcher.flush_then_broadcast(
-                                        &route_meta,
-                                        &downstream,
+                                    outs.flush_then_broadcast(
                                         &probe,
                                         Message::Barrier(id),
                                         FlushReason::Marker,
@@ -787,23 +769,8 @@ pub(crate) fn spawn_instances(
                                         op.on_watermark(w, &mut out);
                                         n_out += out.len() as u64;
                                         probe.tuples_out(out.len() as u64);
-                                        let wctx = if out.is_empty() {
-                                            None
-                                        } else {
-                                            window_ctx.take()
-                                        };
-                                        batcher
-                                            .set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                                        for t in out.drain(..) {
-                                            batcher.scatter(
-                                                &route_meta,
-                                                &downstream,
-                                                &mut router,
-                                                &probe,
-                                                t,
-                                            )?;
-                                        }
-                                        batcher.set_active_trace(None);
+                                        let wctx = pane_trace(&out, &mut window_ctx, &probe);
+                                        outs.scatter_traced(&probe, &mut out, wctx)?;
                                     }
                                 }
                             }
@@ -820,30 +787,22 @@ pub(crate) fn spawn_instances(
                     if probe.enabled() {
                         probe.window_state(op.panes_fired(), op.late_events());
                     }
-                    let wctx = if out.is_empty() {
-                        None
-                    } else {
-                        window_ctx.take()
-                    };
-                    batcher.set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                    for t in out.drain(..) {
-                        batcher.scatter(&route_meta, &downstream, &mut router, &probe, t)?;
-                    }
-                    batcher.set_active_trace(None);
-                    batcher.flush_then_broadcast(
-                        &route_meta,
-                        &downstream,
-                        &probe,
-                        Message::Eos,
-                        FlushReason::Eos,
-                    )?;
+                    let wctx = pane_trace(&out, &mut window_ctx, &probe);
+                    outs.scatter_traced(&probe, &mut out, wctx)?;
+                    outs.flush_then_broadcast(&probe, Message::Eos, FlushReason::Eos)?;
                     if gauge.is_some() {
                         // The queue is drained: report the gauge at rest so
                         // post-run alarm evaluation sees recovery, not the
                         // last mid-storm level.
                         probe.pressure(PressureLevel::Normal as u64);
                     }
-                    let _ = stats_tx.send((lnode, n_in, n_out, n_shed, op.late_events()));
+                    let _ = stats_tx.send(InstanceStats {
+                        node: lnode,
+                        tuples_in: n_in,
+                        tuples_out: n_out,
+                        shed: n_shed,
+                        late: op.late_events(),
+                    });
                     Ok(())
                 });
                 handles.push((lnode, index, worker));
@@ -851,6 +810,86 @@ pub(crate) fn spawn_instances(
         }
     }
     Ok(handles)
+}
+
+/// An instance's output side: its out-routes, the downstream senders of
+/// each, the partitioners' state, and the batcher that frames tuples onto
+/// them.
+struct Outputs {
+    routes: Vec<OutRoute>,
+    downstream: Vec<Vec<Sender<Envelope>>>,
+    router: RouterState,
+    batcher: EdgeBatcher,
+}
+
+impl Outputs {
+    fn new(routes: Vec<OutRoute>, downstream: Vec<Vec<Sender<Envelope>>>, batch: usize) -> Self {
+        Outputs {
+            router: RouterState::new(routes.len()),
+            batcher: EdgeBatcher::new(&routes, batch),
+            routes,
+            downstream,
+        }
+    }
+
+    /// Route one tuple through every out-edge partitioner.
+    fn scatter(&mut self, probe: &Probe, tuple: Tuple) -> Result<()> {
+        self.batcher.scatter(
+            &self.routes,
+            &self.downstream,
+            &mut self.router,
+            probe,
+            tuple,
+        )
+    }
+
+    /// Scatter an operator's outputs. Every frame they open inherits
+    /// `trace` (a context and the time it was buffered from); the context
+    /// is cleared afterwards so later outputs start untraced.
+    fn scatter_traced(
+        &mut self,
+        probe: &Probe,
+        out: &mut Vec<Tuple>,
+        trace: Option<(TraceContext, u64)>,
+    ) -> Result<()> {
+        self.batcher.set_active_trace(trace);
+        for t in out.drain(..) {
+            self.scatter(probe, t)?;
+        }
+        self.batcher.set_active_trace(None);
+        Ok(())
+    }
+
+    /// Push every partial batch downstream.
+    fn flush_all(&mut self, probe: &Probe, reason: FlushReason) -> Result<()> {
+        self.batcher
+            .flush_all(&self.routes, &self.downstream, probe, reason)
+    }
+
+    /// Flush, then send a marker (watermark, barrier, EOS) on every edge.
+    fn flush_then_broadcast(
+        &mut self,
+        probe: &Probe,
+        msg: Message,
+        reason: FlushReason,
+    ) -> Result<()> {
+        self.batcher
+            .flush_then_broadcast(&self.routes, &self.downstream, probe, msg, reason)
+    }
+}
+
+/// Context that pane results continue: the last traced frame the window
+/// absorbed, buffered from now, so window residency shows as a gap on the
+/// critical path. Consumed only when the fire emitted something.
+fn pane_trace(
+    out: &[Tuple],
+    window_ctx: &mut Option<TraceContext>,
+    probe: &Probe,
+) -> Option<(TraceContext, u64)> {
+    if out.is_empty() {
+        return None;
+    }
+    window_ctx.take().map(|c| (c, probe.trace_now()))
 }
 
 /// Join an attempt's worker threads, record failures in the flight
@@ -893,6 +932,191 @@ pub(crate) fn join_instances(
         }
     }
     pick_root_error(errors)
+}
+
+/// Everything one local attempt reports back to its driver.
+pub(crate) struct Attempt {
+    /// `Err` holds the root cause of a failed attempt.
+    pub(crate) outcome: std::result::Result<(), EngineError>,
+    /// `(checkpoint id, instance id, state bytes)` parts produced.
+    pub(crate) new_parts: Vec<(u64, usize, Vec<u8>)>,
+    /// Final (on success) or partial (on failure) sink states by instance.
+    pub(crate) sink_states: HashMap<usize, SinkState>,
+    /// Counters of every instance that finished.
+    pub(crate) op_stats: Vec<InstanceStats>,
+}
+
+/// Spawn one full topology in this process over a [`LocalTransport`], join
+/// it, and report what happened. Nothing is retried here; `Err` from this
+/// function is a setup failure (no worker ran).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_local_attempt(
+    plan: &PhysicalPlan,
+    sources: &[Arc<dyn SourceFactory>],
+    settings: &ExecSettings,
+    injector: Option<FaultInjector>,
+    restore: &HashMap<usize, Vec<u8>>,
+    emitted_counters: &Arc<Vec<AtomicU64>>,
+    start: Instant,
+    tel: Option<&RunTelemetry>,
+    restarted: bool,
+) -> Result<Attempt> {
+    let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..plan.instance_count())
+        .map(|_| {
+            let (tx, rx) = bounded::<Envelope>(settings.run.frame_capacity());
+            (tx, Some(rx))
+        })
+        .unzip();
+    let transport = LocalTransport::new(senders);
+    // Unbounded so post-join draining can never block a worker.
+    let (sink_tx, sink_rx) = unbounded();
+    let (stats_tx, stats_rx) = unbounded();
+    let (coord_tx, coord_rx) = unbounded();
+    let reporters = Reporters {
+        coord_tx,
+        sink_tx,
+        stats_tx,
+    };
+    let handles = spawn_instances(
+        plan,
+        sources,
+        None,
+        &transport,
+        &mut receivers,
+        settings,
+        injector,
+        restore,
+        emitted_counters,
+        RunClock::Local(start),
+        &reporters,
+        tel,
+        restarted,
+    )?;
+    // Drop our copies so receivers see disconnects if a worker dies.
+    drop(reporters);
+    drop(transport);
+
+    let outcome = match join_instances(handles, tel) {
+        Some(e) => Err(e),
+        None => Ok(()),
+    };
+    Ok(Attempt {
+        outcome,
+        new_parts: coord_rx.iter().collect(),
+        sink_states: sink_rx.iter().collect(),
+        op_stats: stats_rx.iter().collect(),
+    })
+}
+
+/// Fold a successful attempt's reports into a [`RunResult`]. Sink outputs
+/// are concatenated in instance-id order, so `sink_tuples[i]` pairs with
+/// `latencies_ns[i]` up to `capture_limit`; `emitted(instance)` is a source
+/// instance's final offset.
+pub(crate) fn assemble_result(
+    plan: &PhysicalPlan,
+    capture_limit: usize,
+    sink_states: HashMap<usize, SinkState>,
+    op_stats: &[InstanceStats],
+    emitted: impl Fn(usize) -> u64,
+    start: Instant,
+) -> RunResult {
+    let mut operator_stats: Vec<OperatorStats> = plan
+        .logical
+        .nodes
+        .iter()
+        .map(|node| OperatorStats {
+            node: node.id,
+            name: node.name.clone(),
+            ..OperatorStats::default()
+        })
+        .collect();
+    for s in op_stats {
+        let slot = &mut operator_stats[s.node];
+        slot.tuples_in += s.tuples_in;
+        slot.tuples_out += s.tuples_out;
+        slot.shed += s.shed;
+        slot.late += s.late;
+    }
+    let mut ordered: Vec<(usize, SinkState)> = sink_states.into_iter().collect();
+    ordered.sort_unstable_by_key(|&(i, _)| i);
+    let (mut sink_tuples, mut latencies_ns, mut tuples_out) = (Vec::new(), Vec::new(), 0);
+    for (_, st) in ordered {
+        let room = capture_limit - sink_tuples.len().min(capture_limit);
+        sink_tuples.extend(st.captured.into_iter().take(room));
+        latencies_ns.extend(st.latencies);
+        tuples_out += st.total;
+    }
+    RunResult {
+        sink_tuples,
+        latencies_ns,
+        tuples_out,
+        tuples_in: plan.source_instances().into_iter().map(emitted).sum(),
+        elapsed: start.elapsed(),
+        operator_stats,
+    }
+}
+
+/// One worker dying tears down its neighbours through channel disconnects,
+/// so several workers usually fail at once. The panic or injected fault
+/// that started the cascade is the root cause; generic channel-disconnect
+/// `Execution` errors are downstream symptoms and rank last.
+pub(crate) fn pick_root_error(errors: Vec<EngineError>) -> Option<EngineError> {
+    fn rank(e: &EngineError) -> u8 {
+        match e {
+            EngineError::WorkerPanicked { .. } | EngineError::FaultInjected { .. } => 0,
+            EngineError::Execution(_) => 2,
+            _ => 1,
+        }
+    }
+    errors.into_iter().fold(None, |best, e| match best {
+        None => Some(e),
+        Some(b) if rank(&e) < rank(&b) => Some(e),
+        Some(b) => Some(b),
+    })
+}
+
+/// Extract a human-readable message from a panic payload (the payloads
+/// `panic!` produces are `&str` or `String`; anything else is opaque).
+pub(crate) fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
+/// Take an instance's receiver out of the shared table exactly once.
+pub(crate) fn take_receiver(
+    receivers: &mut [Option<Receiver<Envelope>>],
+    id: usize,
+) -> Result<Receiver<Envelope>> {
+    receivers.get_mut(id).and_then(Option::take).ok_or_else(|| {
+        EngineError::Execution(format!(
+            "internal routing error: receiver for instance {id} missing or already taken"
+        ))
+    })
+}
+
+/// Send a control message (watermark, barrier, EOS) to every downstream
+/// target of every route. Data never travels this way — it goes through the
+/// [`EdgeBatcher`], which flushes pending batches *before* any marker is
+/// broadcast so channel order is preserved.
+pub(crate) fn broadcast(
+    routes: &[OutRoute],
+    downstream: &[Vec<Sender<Envelope>>],
+    msg: Message,
+) -> Result<()> {
+    for (ri, route) in routes.iter().enumerate() {
+        for (i, target) in route.targets.iter().enumerate() {
+            downstream[ri][i]
+                .send(Envelope {
+                    channel: target.channel,
+                    msg: msg.clone(),
+                })
+                .map_err(|_| EngineError::Execution("downstream disconnected".into()))?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -945,6 +1169,62 @@ mod tests {
         assert!(b >= a);
         // A fresh origin yields small offsets (well under an hour).
         assert!(a < 3_600_000_000_000_000);
+    }
+
+    /// Both local drivers run the same attempt; only `FtRuntime` may turn a
+    /// failed one into a restart.
+    #[test]
+    fn only_the_fault_tolerant_driver_supervises_the_shared_attempt() {
+        use crate::builder::PlanBuilder;
+        use crate::fault::{FtConfig, FtRuntime};
+        use crate::runtime::{ThreadedRuntime, VecSource};
+        use crate::udo::{CostProfile, FnUdo};
+        use crate::value::{FieldType, Schema, Value};
+        use std::sync::atomic::AtomicBool;
+
+        let plan_with_first_call_panic = || {
+            let fired = Arc::new(AtomicBool::new(false));
+            let udo = FnUdo::new(
+                "flaky",
+                CostProfile::stateless(100.0, 1.0),
+                |s: &Schema| s.clone(),
+                move |t: Tuple, out: &mut Vec<Tuple>| {
+                    if !fired.swap(true, Ordering::SeqCst) {
+                        panic!("first call fails");
+                    }
+                    out.push(t);
+                },
+            );
+            let logical = PlanBuilder::new()
+                .source("src", Schema::of(&[FieldType::Int]), 1)
+                .udo("flaky", udo)
+                .sink("sink")
+                .build()
+                .unwrap();
+            PhysicalPlan::expand(&logical).unwrap()
+        };
+        let tuples =
+            || -> Vec<Tuple> { (0..100).map(|i| Tuple::new(vec![Value::Int(i)])).collect() };
+
+        let threaded = ThreadedRuntime::new(RunConfig::default())
+            .run(&plan_with_first_call_panic(), &[VecSource::new(tuples())]);
+        match threaded {
+            Err(EngineError::WorkerPanicked { node, cause, .. }) => {
+                assert_eq!(node, 1, "the UDO is logical node 1");
+                assert!(cause.contains("first call fails"), "cause: {cause}");
+            }
+            other => panic!("the threaded backend must not restart, got {other:?}"),
+        }
+
+        let ft = FtRuntime::new(FtConfig::default())
+            .run(
+                &plan_with_first_call_panic(),
+                &[VecSource::new(tuples())],
+                None,
+            )
+            .expect("the fault-tolerant backend recovers");
+        assert_eq!(ft.recovery.attempts, 2);
+        assert_eq!(ft.result.tuples_out, 100);
     }
 
     #[test]

@@ -14,23 +14,20 @@
 //! re-deliver.
 //!
 //! The per-attempt worker loops live in `crate::exec` and are shared with
-//! the distributed runtime — this module supervises single-process attempts
-//! over a `crate::transport::LocalTransport`.
+//! the threaded and distributed runtimes — this module supervises
+//! single-process attempts (`exec::run_local_attempt`), the same attempt
+//! [`crate::runtime::ThreadedRuntime`] runs once without supervision.
 //!
 //! UDO state is opaque to the engine and is *not* snapshotted; jobs with
 //! stateful UDOs recover with at-least-once semantics regardless of mode.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{
-    decode, encode, join_instances, spawn_instances, ExecSettings, Reporters, RunClock, SinkState,
-};
+use crate::exec::{assemble_result, decode, encode, run_local_attempt, ExecSettings, SinkState};
 #[allow(unused_imports)] // referenced by the module docs
 use crate::message::Message;
 use crate::operator::OpKind;
 use crate::physical::PhysicalPlan;
-use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult, SourceFactory};
-use crate::transport::LocalTransport;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use crate::runtime::{RunConfig, RunResult, SourceFactory};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -285,17 +282,6 @@ pub struct FtRunResult {
     pub recovery: RecoveryStats,
 }
 
-/// Everything one attempt reports back to the supervisor.
-struct Attempt {
-    outcome: std::result::Result<(), EngineError>,
-    /// (checkpoint id, instance id, state bytes) parts produced.
-    new_parts: Vec<(u64, usize, Vec<u8>)>,
-    /// Final (on success) or partial (on failure) sink states by instance.
-    sink_states: HashMap<usize, SinkState>,
-    /// (logical node, in, out, shed, late) per finished instance.
-    op_stats: Vec<(usize, u64, u64, u64, u64)>,
-}
-
 /// The supervising fault-tolerant executor.
 pub struct FtRuntime {
     config: FtConfig,
@@ -333,14 +319,6 @@ impl FtRuntime {
         tel: Option<&RunTelemetry>,
     ) -> Result<FtRunResult> {
         self.config.validate()?;
-        let source_nodes = plan.logical.sources();
-        if sources.len() != source_nodes.len() {
-            return Err(EngineError::Execution(format!(
-                "plan has {} source nodes but {} source factories were supplied",
-                source_nodes.len(),
-                sources.len()
-            )));
-        }
         let n = plan.instance_count();
         if let Some(t) = tel {
             t.recorder.record(
@@ -370,11 +348,17 @@ impl FtRuntime {
             mode: self.config.mode,
         };
 
+        let settings = ExecSettings {
+            run: self.config.run.clone(),
+            exactly_once: self.config.mode == DeliveryMode::ExactlyOnce,
+            ckpt_interval: self.config.checkpoint_interval_tuples,
+        };
         loop {
             stats.attempts += 1;
-            let attempt = self.run_attempt(
+            let attempt = run_local_attempt(
                 plan,
                 sources,
+                &settings,
                 injector.clone(),
                 &restore,
                 &emitted,
@@ -389,9 +373,15 @@ impl FtRuntime {
 
             match attempt.outcome {
                 Ok(()) => {
-                    stats.late_tuples = attempt.op_stats.iter().map(|&(_, _, _, _, l)| l).sum();
-                    let result =
-                        self.assemble(plan, attempt.sink_states, attempt.op_stats, &emitted, start);
+                    stats.late_tuples = attempt.op_stats.iter().map(|s| s.late).sum();
+                    let result = assemble_result(
+                        plan,
+                        self.config.run.capture_limit,
+                        attempt.sink_states,
+                        &attempt.op_stats,
+                        |i| emitted[i].load(Ordering::SeqCst),
+                        start,
+                    );
                     if let Some(t) = tel {
                         t.recorder.record(
                             FlightEventKind::RunFinished,
@@ -504,132 +494,6 @@ impl FtRuntime {
                 }
             }
         }
-    }
-
-    fn assemble(
-        &self,
-        plan: &PhysicalPlan,
-        sink_states: HashMap<usize, SinkState>,
-        op_stats: Vec<(usize, u64, u64, u64, u64)>,
-        emitted: &Arc<Vec<AtomicU64>>,
-        start: Instant,
-    ) -> RunResult {
-        let mut result = RunResult {
-            sink_tuples: Vec::new(),
-            latencies_ns: Vec::new(),
-            tuples_out: 0,
-            tuples_in: 0,
-            elapsed: Duration::ZERO,
-            operator_stats: plan
-                .logical
-                .nodes
-                .iter()
-                .map(|node| OperatorStats {
-                    node: node.id,
-                    name: node.name.clone(),
-                    tuples_in: 0,
-                    tuples_out: 0,
-                    shed: 0,
-                    late: 0,
-                })
-                .collect(),
-        };
-        for st in sink_states.into_values() {
-            let room = self.config.run.capture_limit
-                - result.sink_tuples.len().min(self.config.run.capture_limit);
-            result
-                .sink_tuples
-                .extend(st.captured.into_iter().take(room));
-            result.latencies_ns.extend(st.latencies);
-            result.tuples_out += st.total;
-        }
-        for inst_meta in &plan.instances {
-            if matches!(
-                plan.logical.nodes[inst_meta.node].kind,
-                OpKind::Source { .. }
-            ) {
-                result.tuples_in += emitted[inst_meta.id].load(Ordering::SeqCst);
-            }
-        }
-        for (node, n_in, n_out, n_shed, n_late) in op_stats {
-            let s = &mut result.operator_stats[node];
-            s.tuples_in += n_in;
-            s.tuples_out += n_out;
-            s.shed += n_shed;
-            s.late += n_late;
-        }
-        result.elapsed = start.elapsed();
-        result
-    }
-
-    /// Spawn one full topology over a local transport, join it, and report
-    /// what happened. `Err` from this function is a non-retryable setup
-    /// failure.
-    #[allow(clippy::too_many_arguments)]
-    fn run_attempt(
-        &self,
-        plan: &PhysicalPlan,
-        sources: &[Arc<dyn SourceFactory>],
-        injector: Option<FaultInjector>,
-        restore: &HashMap<usize, Vec<u8>>,
-        emitted_counters: &Arc<Vec<AtomicU64>>,
-        start: Instant,
-        tel: Option<&RunTelemetry>,
-        restarted: bool,
-    ) -> Result<Attempt> {
-        let n = plan.instance_count();
-        let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Option<Receiver<Envelope>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Envelope>(self.config.run.frame_capacity());
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let transport = LocalTransport::new(senders);
-        // Per-attempt report channels; unbounded so post-join draining
-        // can never block a worker.
-        let (sink_tx, sink_rx) = unbounded::<(usize, SinkState)>();
-        let (stats_tx, stats_rx) = unbounded::<(usize, u64, u64, u64, u64)>();
-        let (coord_tx, coord_rx) = unbounded::<(u64, usize, Vec<u8>)>();
-        let reporters = Reporters {
-            coord_tx,
-            sink_tx,
-            stats_tx,
-        };
-        let settings = ExecSettings {
-            run: self.config.run.clone(),
-            exactly_once: self.config.mode == DeliveryMode::ExactlyOnce,
-            ckpt_interval: self.config.checkpoint_interval_tuples,
-        };
-
-        let handles = spawn_instances(
-            plan,
-            sources,
-            None,
-            &transport,
-            &mut receivers,
-            &settings,
-            injector,
-            restore,
-            emitted_counters,
-            RunClock::Local(start),
-            &reporters,
-            tel,
-            restarted,
-        )?;
-        drop(reporters);
-        drop(transport);
-
-        let outcome = match join_instances(handles, tel) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        };
-        Ok(Attempt {
-            outcome,
-            new_parts: coord_rx.iter().collect(),
-            sink_states: sink_rx.iter().collect(),
-            op_stats: stats_rx.iter().collect(),
-        })
     }
 }
 

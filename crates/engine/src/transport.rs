@@ -11,8 +11,8 @@
 //! agnostic: they only ever see `Sender<Envelope>`.
 
 use crate::error::{EngineError, Result};
+use crate::exec::Envelope;
 use crate::physical::OutRoute;
-use crate::runtime::Envelope;
 use crossbeam_channel::Sender;
 
 /// A source of per-instance delivery endpoints. See the module docs.

@@ -121,16 +121,22 @@ pub fn send_json<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
     write_frame(w, &payload)
 }
 
-/// Receive one frame and parse it as JSON. `Ok(None)` on clean EOF.
-pub fn recv_json<R: Read, T: DeserializeOwned>(r: &mut R) -> io::Result<Option<T>> {
-    let Some(payload) = read_frame(r)? else {
-        return Ok(None);
-    };
-    let text = std::str::from_utf8(&payload)
+/// Parse one JSON frame payload, the inverse of [`encode_json`]. Pair with
+/// [`read_frame`] when a frame's arrival matters before its (possibly slow)
+/// parse.
+pub fn decode_json<T: DeserializeOwned>(payload: &[u8]) -> io::Result<T> {
+    let text = std::str::from_utf8(payload)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame not utf-8: {e}")))?;
     serde_json::from_str(text)
-        .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("decode: {e}")))
+}
+
+/// Receive one frame and parse it as JSON. `Ok(None)` on clean EOF.
+pub fn recv_json<R: Read, T: DeserializeOwned>(r: &mut R) -> io::Result<Option<T>> {
+    match read_frame(r)? {
+        Some(payload) => decode_json(&payload).map(Some),
+        None => Ok(None),
+    }
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
