@@ -59,8 +59,8 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    assemble_result, decode, encode, join_instances, spawn_instances, Envelope, ExecSettings,
-    InstanceStats, Reporters, RunClock, SinkState,
+    assemble_result, decode, encode, join_instances, restore_point, spawn_instances,
+    CheckpointParts, Envelope, ExecSettings, InstanceStats, Reporters, RunClock, SinkState,
 };
 use crate::fault::{DeliveryMode, FtConfig, FtRunResult, RecoveryStats};
 use crate::message::Message;
@@ -90,6 +90,12 @@ use std::time::{Duration, Instant};
 
 /// Grace period for a spawned fleet to dial in and acknowledge deployment.
 const HANDSHAKE_GRACE: Duration = Duration::from_secs(20);
+
+/// How long the workers of a successful attempt, which all reported
+/// `Done` and are returning from [`WorkerMain::run`], get to exit on their
+/// own before they are killed. Whatever a worker binary writes after its
+/// run (a final log line or report) lands in this window.
+const EXIT_GRACE: Duration = Duration::from_millis(500);
 
 /// Resolves a plan specification string into a physical plan plus source
 /// factories. The coordinator and every worker process run the same
@@ -1092,7 +1098,7 @@ impl DistributedRuntime {
         let start = Instant::now();
         let epoch_ns = epoch_ns_now();
         let mut alarms_observed: Vec<Alarm> = Vec::new();
-        let mut parts: HashMap<u64, HashMap<usize, Vec<u8>>> = HashMap::new();
+        let mut parts = CheckpointParts::new();
         let mut restore: HashMap<usize, Vec<u8>> = HashMap::new();
         let mut sink_partials: HashMap<usize, SinkState> = HashMap::new();
         let mut emitted_totals: HashMap<usize, u64> = HashMap::new();
@@ -1156,11 +1162,14 @@ impl DistributedRuntime {
                 &mut alarms_observed,
             );
             // Every attempt ends with a clean slate of processes: killing
-            // is idempotent for the already-exited, and wait() reaps.
-            for c in &mut children {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
+            // is idempotent for the already-exited, and wait() reaps. After
+            // a failure, peers may hang, so nobody gets a grace period.
+            let grace = if att.outcome.is_ok() {
+                EXIT_GRACE
+            } else {
+                Duration::ZERO
+            };
+            reap(&mut children, grace);
 
             for (id, inst, bytes) in att.new_parts {
                 parts.entry(id).or_default().insert(inst, bytes);
@@ -1229,35 +1238,18 @@ impl DistributedRuntime {
                             cause: root.to_string(),
                         });
                     }
-                    let restored = parts
-                        .iter()
-                        .filter(|(_, p)| p.len() == n)
-                        .map(|(&id, _)| id)
-                        .max();
-                    stats.restored_checkpoint = restored;
+                    let point = restore_point(&plan, &parts)?;
+                    stats.restored_checkpoint = point.id;
                     tel.recorder.record(
                         FlightEventKind::RecoveryStarted,
                         0,
                         0,
-                        match restored {
+                        match point.id {
                             Some(id) => format!("restoring checkpoint {id}: {root}"),
                             None => format!("cold restart (no complete checkpoint): {root}"),
                         },
                     );
-                    restore.clear();
-                    let mut ckpt_sink_total = 0u64;
-                    if let Some(id) = restored {
-                        for (&inst, bytes) in &parts[&id] {
-                            restore.insert(inst, bytes.clone());
-                        }
-                        for inst in &plan.instances {
-                            if matches!(plan.logical.nodes[inst.node].kind, OpKind::Sink) {
-                                if let Some(bytes) = parts[&id].get(&inst.id) {
-                                    ckpt_sink_total += decode::<SinkState>(bytes, "sink")?.total;
-                                }
-                            }
-                        }
-                    }
+                    restore = point.restore;
                     for &src in &plan.source_instances() {
                         let at_failure = emitted_totals.get(&src).copied().unwrap_or(0);
                         let offset = restore
@@ -1272,7 +1264,7 @@ impl DistributedRuntime {
                     // nothing — the heartbeat estimate.
                     let reported: u64 = sink_partials.values().map(|s| s.total).sum();
                     let estimated = attempt_base_sink + att.hb_sinks.values().copied().sum::<u64>();
-                    let delta = reported.max(estimated).saturating_sub(ckpt_sink_total);
+                    let delta = reported.max(estimated).saturating_sub(point.sink_total);
                     match self.config.ft.mode {
                         DeliveryMode::AtLeastOnce => {
                             stats.duplicate_tuples += delta;
@@ -1726,6 +1718,19 @@ impl DistributedRuntime {
     }
 }
 
+/// Wait up to `grace` in total for `children` to exit on their own, then
+/// kill and reap whichever are left.
+fn reap(children: &mut [Child], grace: Duration) {
+    let deadline = Instant::now() + grace;
+    for c in children.iter_mut() {
+        while Instant::now() < deadline && matches!(c.try_wait(), Ok(None)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = c.kill();
+        let _ = c.wait();
+    }
+}
+
 /// The failure detector's verdict at one supervision tick: the unfinished
 /// worker silent longest past its lease, if any. A lapsed lease implies the
 /// heartbeat-gap warning: one delayed tick can carry a worker past both the
@@ -1851,6 +1856,26 @@ fn spawn_control_acceptor(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reap_lets_exiting_workers_finish_and_kills_the_rest() {
+        let exiting = Command::new("sh")
+            .args(["-c", "sleep 0.05"])
+            .spawn()
+            .unwrap();
+        let stuck = Command::new("sleep").arg("30").spawn().unwrap();
+        let mut children = vec![exiting, stuck];
+        let t0 = Instant::now();
+        reap(&mut children, Duration::from_millis(500));
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the grace is bounded"
+        );
+        let exited = children[0].try_wait().unwrap().expect("reaped");
+        assert!(exited.success(), "exited on its own within the grace");
+        let killed = children[1].try_wait().unwrap().expect("reaped");
+        assert!(!killed.success(), "killed when the grace ran out");
+    }
 
     #[test]
     fn config_validation_catches_bad_knobs() {

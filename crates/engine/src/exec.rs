@@ -37,7 +37,7 @@ use crate::value::Tuple;
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -81,13 +81,121 @@ impl RunClock {
     }
 }
 
-/// Sink-side state captured in checkpoints (and, at-least-once, carried
-/// across restarts from the failure-time partial).
+/// Sink-side state: what a sink reports when it finishes or fails, and what
+/// a driver restores it to (at-least-once, the failure-time partial).
+/// Checkpoints carry it as a chain of [`SinkPart`]s.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct SinkState {
     pub(crate) captured: Vec<Tuple>,
     pub(crate) latencies: Vec<u64>,
     pub(crate) total: u64,
+}
+
+/// One sink's checkpoint part: the entries appended to its [`SinkState`]
+/// since that sink's previous part *in the same attempt*. An attempt's
+/// first part starts at 0, so it is full; later parts are deltas, which
+/// keeps a part's size independent of run length.
+#[derive(Debug, Serialize, Deserialize)]
+struct SinkPart {
+    total: u64,
+    captured_from: usize,
+    captured: Vec<Tuple>,
+    latencies_from: usize,
+    latencies: Vec<u64>,
+}
+
+impl SinkState {
+    /// The part for a checkpoint taken now, given `marks` — the
+    /// `(captured, latencies)` lengths at this sink's previous part — which
+    /// then advance to the current lengths.
+    fn part_since(&self, marks: &mut (usize, usize)) -> SinkPart {
+        let part = SinkPart {
+            total: self.total,
+            captured_from: marks.0,
+            captured: self.captured[marks.0..].to_vec(),
+            latencies_from: marks.1,
+            latencies: self.latencies[marks.1..].to_vec(),
+        };
+        *marks = (self.captured.len(), self.latencies.len());
+        part
+    }
+
+    /// Lay `part` over this state: truncate to where the part starts, then
+    /// append its entries. A part starting past the current end means an
+    /// earlier part is missing.
+    fn apply(&mut self, part: SinkPart) -> Result<()> {
+        if part.captured_from > self.captured.len() || part.latencies_from > self.latencies.len() {
+            return Err(EngineError::Checkpoint(format!(
+                "sink part starts at ({}, {}) past the composed state's ({}, {})",
+                part.captured_from,
+                part.latencies_from,
+                self.captured.len(),
+                self.latencies.len()
+            )));
+        }
+        self.captured.truncate(part.captured_from);
+        self.captured.extend(part.captured);
+        self.latencies.truncate(part.latencies_from);
+        self.latencies.extend(part.latencies);
+        self.total = part.total;
+        Ok(())
+    }
+}
+
+/// Checkpoint parts collected across attempts: id → instance → bytes. A
+/// later attempt's part for the same id and instance replaces the earlier.
+pub(crate) type CheckpointParts = BTreeMap<u64, HashMap<usize, Vec<u8>>>;
+
+/// What a driver restores after a failure.
+pub(crate) struct RestorePoint {
+    /// Newest checkpoint with a part from every instance; `None` is a cold
+    /// restart.
+    pub(crate) id: Option<u64>,
+    /// Restore payload by instance: source offsets and operator snapshots as
+    /// taken, and each sink's full [`SinkState`] composed from its parts.
+    pub(crate) restore: HashMap<usize, Vec<u8>>,
+    /// Sum of the restored sinks' totals.
+    pub(crate) sink_total: u64,
+}
+
+/// Find the newest complete checkpoint in `parts` and build its restore
+/// map. A sink's state at checkpoint `c` is its parts with id ≤ `c` laid
+/// over one another in ascending id order. That also holds across
+/// attempts: a restarted attempt's first part is full and overrides the
+/// deltas before it, and an older attempt's delta at a higher id truncates
+/// onto a prefix the newer parts share with it.
+pub(crate) fn restore_point(plan: &PhysicalPlan, parts: &CheckpointParts) -> Result<RestorePoint> {
+    let n = plan.instance_count();
+    let Some((&id, complete)) = parts.iter().rev().find(|(_, p)| p.len() == n) else {
+        return Ok(RestorePoint {
+            id: None,
+            restore: HashMap::new(),
+            sink_total: 0,
+        });
+    };
+    let mut restore = complete.clone();
+    let mut sink_total = 0;
+    for inst in &plan.instances {
+        if matches!(plan.logical.nodes[inst.node].kind, OpKind::Sink) {
+            let st = compose_sink(parts, id, inst.id)?;
+            sink_total += st.total;
+            restore.insert(inst.id, encode(&st, "sink")?);
+        }
+    }
+    Ok(RestorePoint {
+        id: Some(id),
+        restore,
+        sink_total,
+    })
+}
+
+/// Sink `inst`'s state at checkpoint `id`, rebuilt from its parts.
+fn compose_sink(parts: &CheckpointParts, id: u64, inst: usize) -> Result<SinkState> {
+    let mut st = SinkState::default();
+    for bytes in parts.range(..=id).filter_map(|(_, p)| p.get(&inst)) {
+        st.apply(decode(bytes, "sink")?)?;
+    }
+    Ok(st)
 }
 
 /// Final counters of one finished instance. Serializable so a distributed
@@ -414,6 +522,26 @@ pub(crate) fn spawn_instances(
                         (0..channels).map(|_| VecDeque::new()).collect();
                     let mut closed = 0usize;
                     let mut seen_this_attempt = 0u64;
+                    // Lengths at this attempt's previous part: each part
+                    // carries only what was delivered since.
+                    let mut marks = (0usize, 0usize);
+                    let checkpoint = |st: &SinkState,
+                                      marks: &mut (usize, usize),
+                                      id: u64,
+                                      note: &str|
+                     -> Result<()> {
+                        let ck0 = probe.now_if();
+                        let _ =
+                            coord_tx.send((id, inst_id, encode(&st.part_since(marks), "sink")?));
+                        if let Some(t0) = ck0 {
+                            probe.checkpoint(t0.elapsed().as_nanos() as u64);
+                            probe.event(
+                                FlightEventKind::CheckpointCompleted,
+                                format!("sink checkpoint {id}{note}"),
+                            );
+                        }
+                        Ok(())
+                    };
                     while closed < channels {
                         let wait = probe.now_if();
                         let env = match next_envelope(&rx, &blocked, &mut pending, flush_after) {
@@ -487,15 +615,7 @@ pub(crate) fn spawn_instances(
                             Message::Watermark(_) => {}
                             Message::Barrier(id) => {
                                 if aligner.barrier(id, env.channel) {
-                                    let ck0 = probe.now_if();
-                                    let _ = coord_tx.send((id, inst_id, encode(&st, "sink")?));
-                                    if let Some(t0) = ck0 {
-                                        probe.checkpoint(t0.elapsed().as_nanos() as u64);
-                                        probe.event(
-                                            FlightEventKind::CheckpointCompleted,
-                                            format!("sink checkpoint {id}"),
-                                        );
-                                    }
+                                    checkpoint(&st, &mut marks, id, "")?;
                                     blocked.iter_mut().for_each(|b| *b = false);
                                 } else if exactly_once {
                                     blocked[env.channel] = true;
@@ -505,15 +625,7 @@ pub(crate) fn spawn_instances(
                                 closed += 1;
                                 blocked[env.channel] = false;
                                 for id in aligner.close(env.channel) {
-                                    let ck0 = probe.now_if();
-                                    let _ = coord_tx.send((id, inst_id, encode(&st, "sink")?));
-                                    if let Some(t0) = ck0 {
-                                        probe.checkpoint(t0.elapsed().as_nanos() as u64);
-                                        probe.event(
-                                            FlightEventKind::CheckpointCompleted,
-                                            format!("sink checkpoint {id} (at EOS)"),
-                                        );
-                                    }
+                                    checkpoint(&st, &mut marks, id, " (at EOS)")?;
                                     blocked.iter_mut().for_each(|b| *b = false);
                                 }
                             }
@@ -1225,6 +1337,182 @@ mod tests {
             .expect("the fault-tolerant backend recovers");
         assert_eq!(ft.recovery.attempts, 2);
         assert_eq!(ft.result.tuples_out, 100);
+    }
+
+    fn row(v: i64) -> Tuple {
+        Tuple::new(vec![crate::value::Value::Int(v)])
+    }
+
+    /// A sink part whose entries are `vs`, with latency = value.
+    fn part(from: usize, vs: &[i64], total: u64) -> Vec<u8> {
+        let p = SinkPart {
+            total,
+            captured_from: from,
+            captured: vs.iter().map(|&v| row(v)).collect(),
+            latencies_from: from,
+            latencies: vs.iter().map(|&v| v as u64).collect(),
+        };
+        encode(&p, "sink").unwrap()
+    }
+
+    /// Sink parts of instance 0 only, keyed by checkpoint id.
+    fn sink_parts(ps: Vec<(u64, Vec<u8>)>) -> CheckpointParts {
+        ps.into_iter()
+            .map(|(id, bytes)| (id, HashMap::from([(0, bytes)])))
+            .collect()
+    }
+
+    fn values(st: &SinkState) -> Vec<i64> {
+        let vs: Vec<i64> = st
+            .captured
+            .iter()
+            .map(|t| match t.values[0] {
+                crate::value::Value::Int(v) => v,
+                ref other => panic!("unexpected value {other:?}"),
+            })
+            .collect();
+        let lat: Vec<i64> = st.latencies.iter().map(|&l| l as i64).collect();
+        assert_eq!(vs, lat, "captured and latencies stay aligned");
+        vs
+    }
+
+    #[test]
+    fn exactly_once_parts_compose_to_the_checkpoint_state() {
+        let parts = sink_parts(vec![
+            (1, part(0, &[1, 2], 2)),
+            (2, part(2, &[3], 3)),
+            (3, part(3, &[4, 5], 5)),
+        ]);
+        let st = compose_sink(&parts, 3, 0).unwrap();
+        assert_eq!(values(&st), vec![1, 2, 3, 4, 5]);
+        assert_eq!(st.total, 5);
+        let mid = compose_sink(&parts, 2, 0).unwrap();
+        assert_eq!(values(&mid), vec![1, 2, 3], "later parts are ignored");
+        assert_eq!(mid.total, 3);
+    }
+
+    #[test]
+    fn a_restarted_attempts_full_part_overrides_older_deltas() {
+        // Attempt 1 took parts 1–3, failed, and restored checkpoint 2.
+        // Attempt 2's first part (id 3) starts at 0 and replaces attempt
+        // 1's part 3; its part 4 is a delta on top.
+        let mut parts = sink_parts(vec![
+            (1, part(0, &[1, 2], 2)),
+            (2, part(2, &[3], 3)),
+            (3, part(3, &[40], 4)),
+        ]);
+        parts
+            .get_mut(&3)
+            .unwrap()
+            .insert(0, part(0, &[1, 2, 3, 4], 4));
+        parts.insert(4, HashMap::from([(0, part(4, &[5], 5))]));
+        let st = compose_sink(&parts, 4, 0).unwrap();
+        assert_eq!(values(&st), vec![1, 2, 3, 4, 5]);
+        assert_eq!(st.total, 5);
+    }
+
+    #[test]
+    fn at_least_once_older_delta_truncates_onto_the_shared_prefix() {
+        // Attempt 1: parts 1–4, then it fails with partial [1, 2, 3, 4, 5, 6]
+        // and checkpoint 2 is restored; the sink keeps the partial. Attempt
+        // 2's first part (id 3) is full: the partial plus a delivery 7. It
+        // fails before its sink reaches barrier 4, but checkpoint 4
+        // completes with attempt 1's sink part, a delta from 4 (its length
+        // at part 3).
+        let mut parts = sink_parts(vec![
+            (1, part(0, &[1, 2], 2)),
+            (2, part(2, &[3], 3)),
+            (3, part(3, &[4], 4)),
+            (4, part(4, &[5], 5)),
+        ]);
+        parts
+            .get_mut(&3)
+            .unwrap()
+            .insert(0, part(0, &[1, 2, 3, 4, 5, 6, 7], 7));
+        let st = compose_sink(&parts, 4, 0).unwrap();
+        assert_eq!(values(&st), vec![1, 2, 3, 4, 5], "attempt 1's state at 4");
+        assert_eq!(st.total, 5);
+    }
+
+    #[test]
+    fn a_missing_part_is_a_checkpoint_error() {
+        let parts = sink_parts(vec![(1, part(0, &[1], 1)), (3, part(2, &[3], 3))]);
+        assert!(matches!(
+            compose_sink(&parts, 3, 0),
+            Err(EngineError::Checkpoint(_))
+        ));
+        assert_eq!(compose_sink(&parts, 2, 0).unwrap().total, 1);
+    }
+
+    /// A sink part holds the deliveries since the previous barrier, so its
+    /// size does not grow with the length of the run.
+    #[test]
+    fn sink_part_size_does_not_grow_with_run_length() {
+        use crate::builder::PlanBuilder;
+        use crate::runtime::VecSource;
+        use crate::value::{FieldType, Schema, Value};
+
+        let logical = PlanBuilder::new()
+            .source("src", Schema::of(&[FieldType::Int]), 1)
+            .sink("sink")
+            .build()
+            .unwrap();
+        let plan = PhysicalPlan::expand(&logical).unwrap();
+        let sink = plan
+            .instances
+            .iter()
+            .find(|i| matches!(plan.logical.nodes[i.node].kind, OpKind::Sink))
+            .unwrap()
+            .id;
+        let largest_sink_part = |n: i64| -> usize {
+            let tuples: Vec<Tuple> = (0..n).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
+            let settings = ExecSettings {
+                run: RunConfig::default(),
+                exactly_once: true,
+                ckpt_interval: 100,
+            };
+            let counters = Arc::new(
+                (0..plan.instance_count())
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
+            );
+            let attempt = run_local_attempt(
+                &plan,
+                &[VecSource::new(tuples)],
+                &settings,
+                None,
+                &HashMap::new(),
+                &counters,
+                Instant::now(),
+                None,
+                false,
+            )
+            .unwrap();
+            attempt.outcome.unwrap();
+            let mut parts = CheckpointParts::new();
+            for (id, inst, bytes) in attempt.new_parts {
+                parts.entry(id).or_default().insert(inst, bytes);
+            }
+            // The composed last checkpoint is the run's output.
+            let point = restore_point(&plan, &parts).unwrap();
+            assert_eq!(point.id, Some(n as u64 / 100));
+            assert_eq!(point.sink_total, n as u64);
+            let st: SinkState = decode(&point.restore[&sink], "sink").unwrap();
+            assert_eq!(st.captured.len(), n as usize);
+            assert_eq!(st.latencies.len(), n as usize);
+            parts
+                .values()
+                .filter_map(|p| p.get(&sink))
+                .map(Vec::len)
+                .max()
+                .unwrap()
+        };
+        let short = largest_sink_part(2_000);
+        let long = largest_sink_part(8_000);
+        assert!(
+            long < 2 * short,
+            "largest sink part: {long} B at 4N tuples vs {short} B at N"
+        );
     }
 
     #[test]

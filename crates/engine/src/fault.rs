@@ -13,6 +13,13 @@
 //! prefix; under [`DeliveryMode::AtLeastOnce`] nothing blocks and replay may
 //! re-deliver.
 //!
+//! Sink checkpoints are incremental. A sink's part holds only the results
+//! and latencies delivered since its previous part in the same attempt
+//! (an attempt's first part is full), so checkpoint cost does not grow
+//! with run length. On restore, `exec::restore_point` — shared with the
+//! distributed coordinator — picks the newest complete checkpoint and
+//! rebuilds each sink's state from its parts up to that id, in id order.
+//!
 //! The per-attempt worker loops live in `crate::exec` and are shared with
 //! the threaded and distributed runtimes — this module supervises
 //! single-process attempts (`exec::run_local_attempt`), the same attempt
@@ -22,10 +29,12 @@
 //! stateful UDOs recover with at-least-once semantics regardless of mode.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{assemble_result, decode, encode, run_local_attempt, ExecSettings, SinkState};
+use crate::exec::{
+    assemble_result, decode, encode, restore_point, run_local_attempt, CheckpointParts,
+    ExecSettings, SinkState,
+};
 #[allow(unused_imports)] // referenced by the module docs
 use crate::message::Message;
-use crate::operator::OpKind;
 use crate::physical::PhysicalPlan;
 use crate::runtime::{RunConfig, RunResult, SourceFactory};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry};
@@ -332,8 +341,7 @@ impl FtRuntime {
         }
         let start = Instant::now();
         let emitted: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        // Checkpoint parts accumulated across attempts: id -> instance -> bytes.
-        let mut parts: HashMap<u64, HashMap<usize, Vec<u8>>> = HashMap::new();
+        let mut parts = CheckpointParts::new();
         let mut sink_partials: HashMap<usize, SinkState> = HashMap::new();
         let mut restore: HashMap<usize, Vec<u8>> = HashMap::new();
         let mut stats = RecoveryStats {
@@ -415,58 +423,32 @@ impl FtRuntime {
                         }
                         return Err(root);
                     }
-                    // Restore point: newest checkpoint with a part from
-                    // every instance.
-                    let restored = parts
-                        .iter()
-                        .filter(|(_, p)| p.len() == n)
-                        .map(|(&id, _)| id)
-                        .max();
-                    stats.restored_checkpoint = restored;
+                    let point = restore_point(plan, &parts)?;
+                    stats.restored_checkpoint = point.id;
                     if let Some(t) = tel {
                         t.recorder.record(
                             FlightEventKind::RecoveryStarted,
                             0,
                             0,
-                            match restored {
+                            match point.id {
                                 Some(id) => format!("restoring checkpoint {id}: {root}"),
                                 None => format!("cold restart (no complete checkpoint): {root}"),
                             },
                         );
                     }
-                    restore.clear();
-                    let mut ckpt_sink_total = 0u64;
-                    if let Some(id) = restored {
-                        for (&inst, bytes) in &parts[&id] {
-                            restore.insert(inst, bytes.clone());
-                        }
-                        for inst_meta in &plan.instances {
-                            if matches!(plan.logical.nodes[inst_meta.node].kind, OpKind::Sink) {
-                                if let Some(bytes) = parts[&id].get(&inst_meta.id) {
-                                    let st: SinkState = decode(bytes, "sink")?;
-                                    ckpt_sink_total += st.total;
-                                }
-                            }
-                        }
-                    }
+                    restore = point.restore;
                     // Replay accounting from the shared emitted counters.
-                    for inst_meta in &plan.instances {
-                        if !matches!(
-                            plan.logical.nodes[inst_meta.node].kind,
-                            OpKind::Source { .. }
-                        ) {
-                            continue;
-                        }
-                        let at_failure = emitted[inst_meta.id].load(Ordering::SeqCst);
+                    for src in plan.source_instances() {
+                        let at_failure = emitted[src].load(Ordering::SeqCst);
                         let offset = restore
-                            .get(&inst_meta.id)
+                            .get(&src)
                             .map(|b| decode::<u64>(b, "source offset"))
                             .transpose()?
                             .unwrap_or(0);
                         stats.replayed_tuples += at_failure.saturating_sub(offset);
                     }
                     let partial_total: u64 = sink_partials.values().map(|s| s.total).sum();
-                    let delta = partial_total.saturating_sub(ckpt_sink_total);
+                    let delta = partial_total.saturating_sub(point.sink_total);
                     match self.config.mode {
                         DeliveryMode::AtLeastOnce => {
                             stats.duplicate_tuples += delta;

@@ -6,8 +6,9 @@
 //! opposite side on arrival.
 
 use crate::error::Result;
+use crate::exec::{decode, encode};
 use crate::value::{KeyValue, Tuple, Value};
-use crate::window::{decode_snapshot, WindowPolicy, WindowSpec};
+use crate::window::{WindowPolicy, WindowSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
@@ -191,14 +192,12 @@ impl JoinState {
             watermark: self.watermark,
             late: self.late,
         };
-        serde_json::to_string(&snap)
-            .map(String::into_bytes)
-            .map_err(|e| crate::error::EngineError::Checkpoint(format!("join snapshot: {e}")))
+        encode(&snap, "join")
     }
 
     /// Replace both join buffers with a previously captured snapshot.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<()> {
-        let snap: JoinSnapshot = decode_snapshot(bytes, "join")?;
+        let snap: JoinSnapshot = decode(bytes, "join")?;
         self.left = snap.left;
         self.right = snap.right;
         self.watermark = snap.watermark;

@@ -7,7 +7,8 @@
 //! slide equals its length, which the assigner exploits.
 
 use crate::agg::{Accumulator, AggFunc};
-use crate::error::{EngineError, Result};
+use crate::error::Result;
+use crate::exec::{decode, encode};
 use crate::value::{KeyValue, Tuple, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -436,14 +437,12 @@ impl KeyedWindower {
             watermark: self.watermark,
             late_events: self.late_events,
         };
-        serde_json::to_string(&snap)
-            .map(String::into_bytes)
-            .map_err(|e| EngineError::Checkpoint(format!("windower snapshot: {e}")))
+        encode(&snap, "windower")
     }
 
     /// Replace the dynamic state with a previously captured snapshot.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<()> {
-        let snap: WindowerSnapshot = decode_snapshot(bytes, "windower")?;
+        let snap: WindowerSnapshot = decode(bytes, "windower")?;
         self.time_state = snap.time_state;
         self.count_state = snap.count_state;
         self.watermark = snap.watermark;
@@ -459,13 +458,6 @@ struct WindowerSnapshot {
     count_state: HashMap<KeyValue, CountBuf>,
     watermark: i64,
     late_events: u64,
-}
-
-/// Shared snapshot decoding: UTF-8 then JSON, with a labelled error.
-pub(crate) fn decode_snapshot<T: serde::Deserialize>(bytes: &[u8], what: &str) -> Result<T> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| EngineError::Checkpoint(format!("{what} snapshot not utf-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| EngineError::Checkpoint(format!("{what} restore: {e}")))
 }
 
 /// Session-window state for one key.
@@ -641,14 +633,12 @@ impl SessionWindower {
             watermark: self.watermark,
             late_events: self.late_events,
         };
-        serde_json::to_string(&snap)
-            .map(String::into_bytes)
-            .map_err(|e| EngineError::Checkpoint(format!("session snapshot: {e}")))
+        encode(&snap, "session")
     }
 
     /// Replace the dynamic state with a previously captured snapshot.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<()> {
-        let snap: SessionSnapshot = decode_snapshot(bytes, "session windower")?;
+        let snap: SessionSnapshot = decode(bytes, "session windower")?;
         self.sessions = snap.sessions;
         self.watermark = snap.watermark;
         self.late_events = snap.late_events;

@@ -29,6 +29,12 @@ fn keyed_tuples() -> Vec<Tuple> {
 /// Keyed tumbling-count windows: watermark-insensitive, so the output
 /// multiset is deterministic and comparable across failing and clean runs.
 fn windowed_plan() -> PhysicalPlan {
+    keyed_window_plan(2)
+}
+
+/// [`windowed_plan`] with `agg_parallelism` aggregation instances, which is
+/// also the number of input channels of the sink (logical node 2).
+fn keyed_window_plan(agg_parallelism: usize) -> PhysicalPlan {
     let plan = PlanBuilder::new()
         .source("src", Schema::of(&[FieldType::Int, FieldType::Int]), 1)
         .window_agg_keyed(
@@ -38,7 +44,7 @@ fn windowed_plan() -> PhysicalPlan {
             1,
             0,
         )
-        .set_parallelism(1, 2)
+        .set_parallelism(1, agg_parallelism)
         .sink("sink")
         .build()
         .unwrap();
@@ -242,4 +248,80 @@ fn join_pipeline_recovers_with_exact_results() {
     assert_eq!(failing.recovery.attempts, 2);
     assert_eq!(failing.result.tuples_out, clean.result.tuples_out);
     assert_eq!(multiset(&failing), multiset(&clean));
+}
+
+/// Kill the sink itself, by panic, after it has taken several checkpoints.
+/// A panicking sink reports no partial state, so the restarted sink is
+/// rebuilt from its checkpoint parts alone.
+fn run_with_sink_panic(mode: DeliveryMode, phys: &PhysicalPlan) -> FtRunResult {
+    // 100 of the 200 windows: the sink has passed ~7 barriers by then.
+    let injector = FaultInjector::after_tuples(2, 0, 100).panicking();
+    let cfg = FtConfig {
+        run: RunConfig {
+            capture_limit: 10 * TUPLES as usize,
+            ..RunConfig::default()
+        },
+        ..ft_config(mode)
+    };
+    let res = FtRuntime::new(cfg)
+        .run(
+            phys,
+            &[VecSource::new(keyed_tuples())],
+            Some(injector.clone()),
+        )
+        .unwrap();
+    assert!(injector.fired(), "the sink fault actually triggered");
+    assert_eq!(res.recovery.attempts, 2);
+    assert!(
+        res.recovery.restored_checkpoint >= Some(3),
+        "restored from a chain of sink parts: {:?}",
+        res.recovery.restored_checkpoint
+    );
+    res
+}
+
+#[test]
+fn killed_sink_is_rebuilt_from_its_parts_exactly_once() {
+    let failing = run_with_sink_panic(DeliveryMode::ExactlyOnce, &windowed_plan());
+    let clean = run_ft(DeliveryMode::ExactlyOnce, None);
+    assert_eq!(failing.result.tuples_out, clean.result.tuples_out);
+    assert_eq!(multiset(&failing), multiset(&clean));
+    assert_eq!(
+        failing.result.latencies_ns.len(),
+        failing.result.sink_tuples.len(),
+        "one latency per captured result"
+    );
+    assert_eq!(failing.recovery.duplicate_tuples, 0);
+}
+
+#[test]
+fn killed_sink_is_rebuilt_from_its_parts_at_least_once() {
+    // One aggregation instance gives the sink a single input channel, so
+    // its checkpoint holds exactly the pre-barrier prefix and the surplus
+    // over the reference is what the driver accounts as duplicates. (With
+    // several channels, at-least-once lets an early channel's post-barrier
+    // results into the snapshot, and replay repeats them uncounted.)
+    let phys = keyed_window_plan(1);
+    let failing = run_with_sink_panic(DeliveryMode::AtLeastOnce, &phys);
+    let clean = FtRuntime::new(ft_config(DeliveryMode::AtLeastOnce))
+        .run(&phys, &[VecSource::new(keyed_tuples())], None)
+        .unwrap();
+    let reference = multiset(&clean);
+    let mut got = multiset(&failing);
+    for row in &reference {
+        let at = got
+            .iter()
+            .position(|r| r == row)
+            .unwrap_or_else(|| panic!("reference row {row:?} missing after recovery"));
+        got.swap_remove(at);
+    }
+    assert_eq!(
+        got.len() as u64,
+        failing.recovery.duplicate_tuples,
+        "surplus rows are the accounted duplicates"
+    );
+    assert_eq!(
+        failing.result.tuples_out - clean.result.tuples_out,
+        failing.recovery.duplicate_tuples
+    );
 }
